@@ -162,6 +162,25 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
+// TestSubpatternAblationCounts pins the matcher-run counts of the
+// a.subpattern ablation. They count Goodness evaluations, so a change
+// to how Goodness keeps its books (locking, caching) or to the matcher
+// must leave them exactly as they are.
+func TestSubpatternAblationCounts(t *testing.T) {
+	out := runExp(t, "a.subpattern")
+	for _, row := range []string{"without 9117 0", "with 8986 131"} {
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Join(strings.Fields(line), " ") == row {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("a.subpattern has no row %q:\n%s", row, out)
+		}
+	}
+}
+
 func TestBatchTasksConservesCost(t *testing.T) {
 	run := settingRuns()[0]
 	tr := run.trace.Chunked(run.trace.TotalCost()/110, 2)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"freepdm/internal/core"
 	"freepdm/internal/seq"
@@ -60,10 +61,13 @@ type Problem struct {
 	// the minimum, matching is skipped (the cached bound is returned).
 	SubpatternPruning bool
 
-	mu     sync.Mutex
-	occCnt int // Goodness invocations that ran the matcher (for ablations)
-	skips  int // matcher runs avoided by the pruning heuristic
-	cache  map[string]int
+	occCnt atomic.Int64 // Goodness invocations that ran the matcher (for ablations)
+	skips  atomic.Int64 // matcher runs avoided by the pruning heuristic
+
+	// mu guards cache, the occurrence numbers the pruning heuristic
+	// reads its bounds from; neither is touched with pruning off.
+	mu    sync.Mutex
+	cache map[string]int
 }
 
 // NewProblem builds the discovery problem, constructing the candidate
@@ -149,14 +153,13 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 		if suffOcc, sok := pr.cache[s[1:]]; sok && (!ok || suffOcc < bound) {
 			bound, ok = suffOcc, true
 		}
-		pr.mu.Unlock()
 		if ok && bound < pr.Params.MinOccur {
-			pr.mu.Lock()
-			pr.skips++
 			pr.cache[s] = bound
 			pr.mu.Unlock()
+			pr.skips.Add(1)
 			return float64(bound)
 		}
+		pr.mu.Unlock()
 	}
 	var occ int
 	if pr.Params.MaxMut == 0 {
@@ -172,10 +175,12 @@ func (pr *Problem) Goodness(p core.Pattern) float64 {
 		m := seq.Motif{Segments: []string{s}}
 		occ = m.OccurrenceNo(pr.Seqs, pr.Params.MaxMut)
 	}
-	pr.mu.Lock()
-	pr.occCnt++
-	pr.cache[s] = occ
-	pr.mu.Unlock()
+	pr.occCnt.Add(1)
+	if pr.SubpatternPruning {
+		pr.mu.Lock()
+		pr.cache[s] = occ
+		pr.mu.Unlock()
+	}
 	return float64(occ)
 }
 
@@ -187,10 +192,13 @@ func (pr *Problem) Good(p core.Pattern, goodness float64) bool {
 	return int(goodness) >= pr.Params.MinOccur
 }
 
-// Cost implements core.CostModel: matching a motif of length m against
-// the database costs ~ m * total sequence length (times the mutation
-// band). Units are arbitrary; the experiments scale them to reference
-// seconds.
+// Cost implements core.CostModel for the NOW simulator. It models the
+// matcher of the paper's implementation, an edit DP whose cost grows
+// as m * total sequence length (times the mutation band) for a motif
+// of length m, not the bit-parallel kernel of internal/seq; it is
+// kept so the simulated figures of chapter 4 stay those of the
+// paper's cost structure. Units are arbitrary; the experiments scale
+// them to reference seconds.
 func (pr *Problem) Cost(p core.Pattern) float64 {
 	m := p.Len()
 	if m == 0 {
@@ -207,9 +215,7 @@ func (pr *Problem) Cost(p core.Pattern) float64 {
 // MatcherRuns reports how many goodness evaluations actually ran the
 // matcher, and how many the subpattern-pruning heuristic skipped.
 func (pr *Problem) MatcherRuns() (ran, skipped int) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.occCnt, pr.skips
+	return int(pr.occCnt.Load()), int(pr.skips.Load())
 }
 
 // ActiveMotifs filters traversal results down to the motifs the user

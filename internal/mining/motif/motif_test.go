@@ -148,6 +148,32 @@ func TestSubpatternPruningSkipsMatcherRuns(t *testing.T) {
 	}
 }
 
+// TestMatcherRunsPinned pins MatcherRuns with pruning off and on: the
+// counts are the number of matcher runs the E-tree traversal makes and
+// the number the heuristic saves, independent of how Goodness locks.
+func TestMatcherRunsPinned(t *testing.T) {
+	seqs := seq.CorpusSpec{
+		Sequences: 10, Length: 120, Seed: 5,
+		Motifs: []seq.PlantedMotif{{Pattern: "MMMMWWWW", Carriers: 6}},
+	}.Generate()
+	params := Params{MinOccur: 5, MaxMut: 1, MinLength: 5, MaxLength: 8}
+	for _, c := range []struct {
+		prune        bool
+		ran, skipped int
+	}{{false, 2566, 0}, {true, 2529, 37}} {
+		pr := NewProblem(seqs, params)
+		pr.SubpatternPruning = c.prune
+		core.SolveETTSequential(pr)
+		if ran, skipped := pr.MatcherRuns(); ran != c.ran || skipped != c.skipped {
+			t.Errorf("pruning %v: MatcherRuns = (%d, %d), want (%d, %d)",
+				c.prune, ran, skipped, c.ran, c.skipped)
+		}
+		if !c.prune && len(pr.cache) != 0 {
+			t.Errorf("pruning off: %d patterns cached, want none", len(pr.cache))
+		}
+	}
+}
+
 func TestPLETDiscoversSameMotifs(t *testing.T) {
 	seqs := seq.CorpusSpec{
 		Sequences: 8, Length: 60, Seed: 11,

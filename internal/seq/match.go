@@ -49,77 +49,148 @@ func (m Motif) MatchesWithin(s string, mut int) bool {
 	if m.Len() == 0 {
 		return true
 	}
-	// state[j] = minimal mutations spent so far for a parse of the
-	// segments consumed so far that ends at or before position j of s.
-	// Process segments in order; for each, run a semi-global edit DP
-	// whose start positions are the allowed continuation points.
-	n := len(s)
-	const inf = 1 << 30
-	// best[j]: minimal cost to have matched the segments so far with
-	// the last match ending at position <= j (prefix-min form).
-	best := make([]int, n+1)
-	for j := range best {
-		best[j] = 0 // zero segments matched costs nothing, any start
-	}
-	cur := make([]int, n+1)
-	prev := make([]int, n+1)
-	for _, seg := range m.Segments {
-		mlen := len(seg)
-		// prev/cur rows of the edit DP over the segment (rows) and s
-		// (cols). Row 0: starting a match at position j costs best[j]
-		// (mutations already spent before this segment).
-		for j := 0; j <= n; j++ {
-			prev[j] = best[j]
-		}
-		nextBest := make([]int, n+1)
-		for j := range nextBest {
-			nextBest[j] = inf
-		}
-		for i := 1; i <= mlen; i++ {
-			cur[0] = prev[0] + 1 // deletion of segment letter
-			for j := 1; j <= n; j++ {
-				sub := prev[j-1]
-				if seg[i-1] != s[j-1] {
-					sub++
-				}
-				del := prev[j] + 1 // delete segment letter
-				ins := cur[j-1] + 1
-				v := sub
-				if del < v {
-					v = del
-				}
-				if ins < v {
-					v = ins
-				}
-				cur[j] = v
-			}
-			prev, cur = cur, prev
-		}
-		// prev now holds the final row: cost of matching this segment
-		// ending exactly at position j. Convert to prefix-min for the
-		// next segment's free start (the * between them).
-		run := inf
-		for j := 0; j <= n; j++ {
-			if prev[j] < run {
-				run = prev[j]
-			}
-			nextBest[j] = run
-		}
-		best = nextBest
-	}
-	return best[n] <= mut
+	return compile(m).matches(s, mut)
 }
 
 // OccurrenceNo is occurrence_no^mut_S(P): the number of sequences in
-// the set that contain the motif within mut mutations.
+// the set that contain the motif within mut mutations. The motif is
+// compiled once and its matcher state reused for every sequence.
 func (m Motif) OccurrenceNo(seqs []string, mut int) int {
+	if m.Len() == 0 {
+		return len(seqs)
+	}
+	k := compile(m)
 	c := 0
 	for _, s := range seqs {
-		if m.MatchesWithin(s, mut) {
+		if k.matches(s, mut) {
 			c++
 		}
 	}
 	return c
+}
+
+// The matcher computes the edit DP that defines MatchesWithin with
+// the bit-parallel algorithm of Myers (1999) in Hyyro's block-chained
+// form. Conceptually the segments are stacked into one DP table: a
+// row per motif letter, a column per letter of s. Column 0 holds
+// i mutations at the i-th letter (deletions); the row above segment 0
+// is all zeros (the leading VLDC lets a match start anywhere), and the
+// row above segment g>0 is the prefix minimum of segment g-1's final
+// row (the VLDC between them lets segment g start anywhere after
+// segment g-1 ended). The kernel never stores a row: each block of up
+// to 64 rows keeps the column's vertical deltas as two bit vectors,
+// and one sweep over s advances every block per column, passing the
+// horizontal delta of its bottom row down as the next block's
+// carry-in. Each segment tracks its final-row score and that score's
+// running minimum; the minimum's step (0 or -1, since neighbouring
+// cells of a row differ by at most 1) is the carry into the next
+// segment's first block.
+
+// block is up to 64 consecutive rows of one segment.
+type block struct {
+	peq [256]uint64 // peq[c]: bit i set when row i's letter is c
+	top uint        // bit index of the block's bottom row
+	pv  uint64      // rows whose vertical delta is +1 in this column
+	mv  uint64      // rows whose vertical delta is -1 in this column
+}
+
+// segment is one motif segment's blocks and its running scores.
+type segment struct {
+	blocks []block
+	len    int
+	score  int // final-row cost of a match ending at this column
+	best   int // minimum of score over the columns so far
+}
+
+// matcher is a compiled motif: its non-empty segments in order.
+type matcher []segment
+
+// compile builds the matcher of a motif with Len() > 0. Empty segments
+// match the empty string at no cost, so they are dropped.
+func compile(m Motif) matcher {
+	nb, ns := 0, 0
+	for _, seg := range m.Segments {
+		if seg != "" {
+			nb += (len(seg) + 63) / 64
+			ns++
+		}
+	}
+	blocks := make([]block, nb)
+	k := make(matcher, 0, ns)
+	for _, seg := range m.Segments {
+		if seg == "" {
+			continue
+		}
+		n := (len(seg) + 63) / 64
+		sb := blocks[:n:n]
+		blocks = blocks[n:]
+		for b := range sb {
+			rows := seg[b*64 : min(b*64+64, len(seg))]
+			for i := 0; i < len(rows); i++ {
+				sb[b].peq[rows[i]] |= 1 << i
+			}
+			sb[b].top = uint(len(rows) - 1)
+		}
+		k = append(k, segment{blocks: sb, len: len(seg)})
+	}
+	return k
+}
+
+// matches reports whether the compiled motif occurs in s within mut
+// mutations. It resets the matcher's state, so one matcher serves any
+// number of sequences.
+//
+// The horizontal delta passed down a column is a pair of bits: hp is 1
+// for +1 and hn is 1 for -1. Each block advances by Myers' step with
+// Hyyro's carry-in. The step has no branches: the deltas depend on the
+// data, so branches on them would mispredict.
+func (k matcher) matches(s string, mut int) bool {
+	// Column 0: every row so far is a deletion.
+	before := 0
+	for g := range k {
+		sg := &k[g]
+		for b := range sg.blocks {
+			sg.blocks[b].pv, sg.blocks[b].mv = ^uint64(0), 0
+		}
+		before += sg.len
+		sg.score, sg.best = before, before
+	}
+	if before <= mut {
+		return true
+	}
+	last := &k[len(k)-1]
+	for j := 0; j < len(s); j++ {
+		c := s[j]
+		var hp, hn uint64 // segment 0's carry-in: the row above it is constant
+		for g := range k {
+			sg := &k[g]
+			for b := range sg.blocks {
+				bl := &sg.blocks[b]
+				pv, mv := bl.pv, bl.mv
+				eq := bl.peq[c]
+				xv := eq | mv
+				eq |= hn
+				xh := (((eq & pv) + pv) ^ pv) | eq
+				ph := mv | ^(xh | pv)
+				mh := pv & xh
+				ph, hp = ph<<1|hp, ph>>bl.top&1
+				mh, hn = mh<<1|hn, mh>>bl.top&1
+				bl.pv = mh | ^(xv | ph)
+				bl.mv = ph & xv
+			}
+			sg.score += int(hp) - int(hn)
+			// The running best falls by one exactly when the score
+			// drops below it; that step is the next segment's carry.
+			hp, hn = 0, uint64(sg.score-sg.best)>>63
+			sg.best -= int(hn)
+		}
+		// best only falls, so the first column at which the last
+		// segment's best is within budget decides the answer.
+		if last.best <= mut {
+			return true
+		}
+	}
+	return false
 }
 
 // EditDistance is the unit-cost Levenshtein distance, exposed for the

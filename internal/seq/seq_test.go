@@ -161,6 +161,75 @@ func TestMultiSegmentOrdering(t *testing.T) {
 	}
 }
 
+// matchesWithinDP is the row-by-row edit DP that defined
+// MatchesWithin before the bit-parallel kernel replaced it. It stays
+// as the oracle of the differential tests: the kernel must agree with
+// it on every input.
+func matchesWithinDP(m Motif, s string, mut int) bool {
+	if m.Len() == 0 {
+		return true
+	}
+	// state[j] = minimal mutations spent so far for a parse of the
+	// segments consumed so far that ends at or before position j of s.
+	// Process segments in order; for each, run a semi-global edit DP
+	// whose start positions are the allowed continuation points.
+	n := len(s)
+	const inf = 1 << 30
+	// best[j]: minimal cost to have matched the segments so far with
+	// the last match ending at position <= j (prefix-min form).
+	best := make([]int, n+1)
+	for j := range best {
+		best[j] = 0 // zero segments matched costs nothing, any start
+	}
+	cur := make([]int, n+1)
+	prev := make([]int, n+1)
+	for _, seg := range m.Segments {
+		mlen := len(seg)
+		// prev/cur rows of the edit DP over the segment (rows) and s
+		// (cols). Row 0: starting a match at position j costs best[j]
+		// (mutations already spent before this segment).
+		for j := 0; j <= n; j++ {
+			prev[j] = best[j]
+		}
+		nextBest := make([]int, n+1)
+		for j := range nextBest {
+			nextBest[j] = inf
+		}
+		for i := 1; i <= mlen; i++ {
+			cur[0] = prev[0] + 1 // deletion of segment letter
+			for j := 1; j <= n; j++ {
+				sub := prev[j-1]
+				if seg[i-1] != s[j-1] {
+					sub++
+				}
+				del := prev[j] + 1 // delete segment letter
+				ins := cur[j-1] + 1
+				v := sub
+				if del < v {
+					v = del
+				}
+				if ins < v {
+					v = ins
+				}
+				cur[j] = v
+			}
+			prev, cur = cur, prev
+		}
+		// prev now holds the final row: cost of matching this segment
+		// ending exactly at position j. Convert to prefix-min for the
+		// next segment's free start (the * between them).
+		run := inf
+		for j := 0; j <= n; j++ {
+			if prev[j] < run {
+				run = prev[j]
+			}
+			nextBest[j] = run
+		}
+		best = nextBest
+	}
+	return best[n] <= mut
+}
+
 // Property: single-segment semi-global matching is consistent with
 // edit distance: if some substring has edit distance <= mut the motif
 // matches, and conversely.
